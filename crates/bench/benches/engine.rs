@@ -143,8 +143,7 @@ fn benches(c: &mut Criterion) {
     par.finish();
 }
 
-fn distributed_benches(c: &mut Criterion) {
-    use ids_engine::distributed::Cluster;
+fn progressive_benches(c: &mut Criterion) {
     use ids_engine::progressive::ProgressiveExecutor;
     use ids_engine::Database;
 
@@ -156,16 +155,10 @@ fn distributed_benches(c: &mut Criterion) {
         Predicate::between("rating", 3.0, 5.0),
     );
 
-    let mut group = c.benchmark_group("engine_distributed");
+    let mut group = c.benchmark_group("engine_progressive");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_secs(1));
-    for nodes in [1usize, 4, 16] {
-        let cluster = Cluster::partition(&db, nodes).expect("partition");
-        group.bench_with_input(BenchmarkId::new("histogram", nodes), &cluster, |b, cl| {
-            b.iter(|| cl.execute(&probe).expect("mergeable"));
-        });
-    }
     group.bench_function("progressive_histogram", |b| {
         let exec = ProgressiveExecutor::new(db.clone());
         b.iter(|| exec.run(&probe).expect("progressive"));
@@ -176,6 +169,6 @@ fn distributed_benches(c: &mut Criterion) {
 fn main() {
     let mut criterion = Criterion::default().configure_from_args();
     benches(&mut criterion);
-    distributed_benches(&mut criterion);
+    progressive_benches(&mut criterion);
     criterion.final_summary();
 }

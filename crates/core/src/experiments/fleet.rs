@@ -21,7 +21,6 @@
 //! drain, fatter tail) without wedging it.
 
 use ids_chaos::FaultPlan;
-use ids_engine::distributed::ClusterParams;
 use ids_engine::{Backend, CostParams, DiskBackend, EvictionPolicy};
 use ids_lakehouse::{Lakehouse, LcvPoint, SlowSpan, TenantLatency, TimeWindow};
 use ids_obs::TraceEvent;
@@ -29,6 +28,7 @@ use ids_serve::{
     measure_costs, simulate_service, synthesize_fleet, AdmissionPolicy, ArrivalProcess,
     FleetOutcome, FleetSpec, ServeParams,
 };
+use ids_shard::ClusterParams;
 use ids_simclock::{SimDuration, SimTime};
 use ids_workload::datasets;
 

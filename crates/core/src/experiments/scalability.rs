@@ -1,7 +1,8 @@
 //! Scalability and throughput: the Section 3.1.1 backend metrics,
 //! demonstrated the way the paper demonstrates them.
 //!
-//! Two sweeps over the simulated cluster ([`ids_engine::distributed`]):
+//! Three sweeps over the simulated cluster ([`ids_shard::ShardedCluster`],
+//! round-robin partitioned):
 //!
 //! - **node sweep** (the DICE Fig 7 discussion): execution time vs
 //!   server count — near-linear speedup to a knee, diminishing returns
@@ -14,9 +15,9 @@
 //! - **throughput sweep** (the Atlas measurement): queries per second vs
 //!   server count.
 
-use ids_engine::distributed::{cluster_throughput, Cluster};
 use ids_engine::{Database, Predicate, Query};
 use ids_metrics::throughput::{ScalabilityCurve, ScalePoint};
+use ids_shard::{PartitionScheme, ShardedCluster};
 use ids_simclock::SimDuration;
 use ids_workload::datasets;
 
@@ -97,18 +98,25 @@ pub fn run(config: &ScalabilityConfig) -> ScalabilityReport {
     let mut node_sweep = Vec::new();
     let mut throughput_sweep = Vec::new();
     let mix: Vec<Query> = (0..8).map(|_| probe.clone()).collect();
+    let partition = |nodes| {
+        ShardedCluster::partition(&db, PartitionScheme::HashRows, 0, nodes)
+            .expect("partitionable tables")
+    };
     for &nodes in &config.node_counts {
-        let cluster = Cluster::partition(&db, nodes).expect("partitionable tables");
+        let cluster = partition(nodes);
         let out = cluster.execute(&probe).expect("mergeable probe");
         node_sweep.push((nodes, out.elapsed));
-        throughput_sweep.push((
-            nodes,
-            cluster_throughput(&cluster, &mix).expect("mergeable mix"),
-        ));
+        // Throughput (the Atlas measurement): the mix runs back to back,
+        // so queries per second of summed virtual latency.
+        let elapsed: SimDuration = mix
+            .iter()
+            .map(|q| cluster.execute(q).expect("mergeable mix").elapsed)
+            .sum();
+        throughput_sweep.push((nodes, mix.len() as f64 / elapsed.as_secs_f64().max(1e-12)));
     }
 
     // Dimension sweep on a single node: add one predicate at a time.
-    let single = Cluster::partition(&db, 1).expect("partitionable tables");
+    let single = partition(1);
     let predicates = dim_predicates();
     let mut dim_sweep = Vec::new();
     for dims in 1..=config.max_dims.min(predicates.len()) {

@@ -8,7 +8,7 @@
 //! eviction policies so `ids-opt`'s predictive prefetchers have a baseline
 //! to beat.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ids_obs::metrics::{metrics, Counter};
@@ -50,10 +50,14 @@ impl BufferPoolStats {
 
 #[derive(Debug)]
 struct PoolInner {
-    /// Resident pages.
-    frames: HashMap<PageId, Page>,
-    /// Recency / insertion order, front = next eviction victim.
-    order: VecDeque<PageId>,
+    /// Resident pages, each with the stamp it is filed under in `order`.
+    frames: HashMap<PageId, (Page, u64)>,
+    /// Recency (LRU) or load (FIFO) order keyed by stamp; the first
+    /// entry is the next eviction victim. Keyed rather than scanned, so
+    /// a hit costs O(log n) at any pool size.
+    order: BTreeMap<u64, PageId>,
+    /// The next stamp: grows with every load and, under LRU, every hit.
+    clock: u64,
 }
 
 /// Per-pool counters, owned by the pool but *attached* to the global
@@ -129,7 +133,8 @@ impl BufferPool {
             policy,
             inner: Mutex::new(PoolInner {
                 frames: HashMap::with_capacity(capacity),
-                order: VecDeque::with_capacity(capacity),
+                order: BTreeMap::new(),
+                clock: 0,
             }),
             counters: PoolCounters::new(),
         }
@@ -143,27 +148,31 @@ impl BufferPool {
     /// Touches a page: returns `true` on a hit, `false` on a miss (the
     /// page is then loaded, evicting if necessary).
     pub fn touch(&self, id: PageId) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.frames.contains_key(&id) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some((_, stamp)) = inner.frames.get_mut(&id) {
             self.counters.hits.inc();
             if self.policy == EvictionPolicy::Lru {
-                // Move to the back of the recency queue.
-                if let Some(pos) = inner.order.iter().position(|&p| p == id) {
-                    inner.order.remove(pos);
-                    inner.order.push_back(id);
-                }
+                // Refile as the most recent page.
+                inner.order.remove(stamp);
+                *stamp = inner.clock;
+                inner.order.insert(inner.clock, id);
+                inner.clock += 1;
             }
             return true;
         }
         self.counters.misses.inc();
         if inner.frames.len() >= self.capacity {
-            if let Some(victim) = inner.order.pop_front() {
+            if let Some((_, victim)) = inner.order.pop_first() {
                 inner.frames.remove(&victim);
                 self.counters.evictions.inc();
             }
         }
-        inner.frames.insert(id, Page::materialize(id));
-        inner.order.push_back(id);
+        inner
+            .frames
+            .insert(id, (Page::materialize(id), inner.clock));
+        inner.order.insert(inner.clock, id);
+        inner.clock += 1;
         false
     }
 

@@ -22,26 +22,8 @@ pub fn run_histogram(
     bins: &BinSpec,
     filter: &Predicate,
 ) -> EngineResult<(ResultSet, QueryFootprint)> {
-    if bins.bins == 0 {
-        return Err(EngineError::InvalidBinSpec("zero bins".into()));
-    }
-    if bins.width() <= 0.0 || bins.width().is_nan() {
-        return Err(EngineError::InvalidBinSpec(format!(
-            "non-positive width over [{}, {}]",
-            bins.min, bins.max
-        )));
-    }
-    filter.validate(table)?;
-    let bin_idx = table.column_index(&bins.column)?;
+    let bin_idx = histogram_bin_column(table, bins, filter)?;
     let col = table.column_at(bin_idx);
-    // Probe via column type metadata, not a sample value: `f64_at(0)`
-    // can't see past the first row and says nothing on empty columns.
-    if !col.data_type().is_numeric() {
-        return Err(EngineError::TypeMismatch {
-            column: bins.column.to_string(),
-            expected: "numeric column for binning",
-        });
-    }
 
     let opts = KernelOptions::default();
     let mut stats = KernelStats::default();
@@ -67,6 +49,37 @@ pub fn run_histogram(
         ..QueryFootprint::default()
     };
     Ok((ResultSet::Histogram(hist), footprint))
+}
+
+/// Validates a histogram's inputs in the order every histogram path
+/// reports errors — bin spec, filter, then bin column — and returns the
+/// bin column's index.
+pub(crate) fn histogram_bin_column(
+    table: &Table,
+    bins: &BinSpec,
+    filter: &Predicate,
+) -> EngineResult<usize> {
+    if bins.bins == 0 {
+        return Err(EngineError::InvalidBinSpec("zero bins".into()));
+    }
+    if bins.width() <= 0.0 || bins.width().is_nan() {
+        return Err(EngineError::InvalidBinSpec(format!(
+            "non-positive width over [{}, {}]",
+            bins.min, bins.max
+        )));
+    }
+    filter.validate(table)?;
+    let bin_idx = table.column_index(&bins.column)?;
+    let col = table.column_at(bin_idx);
+    // Probe via column type metadata, not a sample value: `f64_at(0)`
+    // can't see past the first row and says nothing on empty columns.
+    if !col.data_type().is_numeric() {
+        return Err(EngineError::TypeMismatch {
+            column: bins.column.to_string(),
+            expected: "numeric column for binning",
+        });
+    }
+    Ok(bin_idx)
 }
 
 /// Executes `SELECT COUNT(*) FROM t WHERE f` — fused filter+count: the

@@ -14,10 +14,11 @@ pub use aggregate::{run_count, run_histogram};
 pub use join::run_join;
 pub use scan::run_select;
 
-// Shared with the cost-based planner, whose physical operators must
-// project rows byte-identically to the operators in this module.
+// Shared with the cost-based planner, whose own physical operators must
+// validate inputs and project rows byte-identically to the operators in
+// this module.
+pub(crate) use aggregate::histogram_bin_column;
 pub(crate) use join::{int_key_column, project_joined};
-pub(crate) use scan::project_rows;
 
 use crate::cost::QueryFootprint;
 use crate::error::EngineResult;

@@ -13,7 +13,7 @@
 //!
 //! - **Storage** — [`Table`] of typed [`Column`]s (`i64`, `f64`,
 //!   dictionary-encoded strings); the disk backend additionally pages rows
-//!   through a [`BufferPool`] over [`bytes`]-backed [`Page`]s.
+//!   through a [`BufferPool`] of zero-filled [`Page`] frames.
 //! - **Logical queries** — the [`Query`] AST covers the SQL shapes the
 //!   paper's workloads issue: projected + filtered scans with
 //!   `LIMIT`/`OFFSET` (inertial scrolling), an inner join over a paginated
@@ -51,12 +51,10 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
 mod backend;
 mod buffer;
 mod column;
 mod cost;
-pub mod distributed;
 mod error;
 pub mod exec;
 pub mod kernels;

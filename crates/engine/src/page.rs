@@ -2,12 +2,10 @@
 //!
 //! The disk backend charges I/O per *page*, so it needs a mapping from
 //! tables and row ranges to page identifiers. [`Pager`] computes that
-//! mapping from each table's estimated row width; [`Page`] carries a
-//! [`bytes::Bytes`] payload standing in for the on-disk image (the actual
+//! mapping from each table's estimated row width; [`Page`] carries an
+//! owned byte payload standing in for the on-disk image (the actual
 //! query answers come from the columnar tables — the page bytes exist so
 //! the buffer pool manages real memory with realistic footprints).
-
-use bytes::Bytes;
 
 /// Fixed page size, 8 KiB — the PostgreSQL default.
 pub const PAGE_SIZE: usize = 8_192;
@@ -27,7 +25,7 @@ pub struct Page {
     /// Identity of the page.
     pub id: PageId,
     /// Raw page bytes (zero-filled stand-in for the row data).
-    pub data: Bytes,
+    pub data: Box<[u8]>,
 }
 
 impl Page {
@@ -37,7 +35,7 @@ impl Page {
         // memory pressure; allocate per page like a real pool frame.
         Page {
             id,
-            data: Bytes::from(vec![0u8; PAGE_SIZE]),
+            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
         }
     }
 }

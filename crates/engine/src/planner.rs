@@ -7,8 +7,11 @@
 //! estimates — and the virtual cost model's invariants as the contract:
 //!
 //! - **Predicate reordering**: conjuncts of an `AND` filter are
-//!   evaluated most-selective-first (bitmask intersection commutes, so
-//!   results and priced footprints are unchanged by order).
+//!   planned most-selective-first. Bitmask intersection commutes, so
+//!   order changes neither results nor footprints; the count, scan and
+//!   serial fused histogram plans therefore run [`crate::exec`]'s own
+//!   operators, and only the unfused and parallel bin paths below
+//!   evaluate the planned order.
 //! - **Fused vs. unfused histograms**: when the filter is estimated to
 //!   keep at least one zone block's worth of rows, the block-wise fused
 //!   filter+bin kernel wins; for needle-selective filters the planner
@@ -47,12 +50,18 @@ use crate::cost::QueryFootprint;
 use crate::error::{EngineError, EngineResult};
 use crate::exec;
 use crate::kernels::{self, KernelOptions, KernelStats, SelectionVector};
-use crate::parallel::PAR_CHUNK_ROWS;
 use crate::predicate::{CmpOp, Predicate};
 use crate::query::{BinSpec, Query};
 use crate::result::{Histogram, ResultSet};
 use crate::stats::TableStats;
 use crate::table::Table;
+
+/// Rows per parallel histogram work unit. A fixed multiple of the
+/// zone-map block size, *independent of the thread count*: the chunk
+/// boundaries (and therefore each partial histogram) are the same
+/// whether 1 or 8 workers drain the queue, so the merged result is
+/// byte-identical at any parallelism.
+pub const PAR_CHUNK_ROWS: usize = 64 * ZONE_BLOCK_ROWS;
 
 /// Which side of a join feeds the hash-table build phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,10 +277,6 @@ impl Plan {
         threads: usize,
     ) -> EngineResult<PlannedExecution> {
         match (&self.query, &self.node) {
-            (Query::Count { table, filter }, PlanNode::Count { pred }) => {
-                let t = db.table(table)?;
-                run_planned_count(&t, filter, pred)
-            }
             (
                 Query::Histogram {
                     table,
@@ -284,28 +289,23 @@ impl Plan {
                     parallel,
                     ..
                 },
-            ) => {
+            ) if *path == HistogramPath::Unfused || (*parallel && threads > 1) => {
                 let t = db.table(table)?;
-                run_planned_histogram(&t, bins, filter, pred, *path, *parallel, threads)
+                run_planned_histogram(&t, bins, filter, pred, *path, threads)
             }
-            (Query::Select(spec), PlanNode::Scan { pred, .. }) => {
-                let t = db.table(&spec.table)?;
-                run_planned_select(&t, spec, pred)
-            }
-            (Query::Join(spec), PlanNode::Join { build, .. }) => {
+            (Query::Join(spec), PlanNode::Join { build, .. }) if *build == BuildSide::Right => {
                 let left = db.table(&spec.left)?;
                 let right = db.table(&spec.right)?;
-                match build {
-                    BuildSide::Left => {
-                        let (result, footprint) = exec::run_join(&left, &right, spec)?;
-                        Ok(PlannedExecution { result, footprint })
-                    }
-                    BuildSide::Right => run_join_build_right(&left, &right, spec),
-                }
+                run_join_build_right(&left, &right, spec)
             }
-            // Plan::new pairs each query shape with its own node; the
-            // shapes cannot drift apart afterwards.
-            _ => unreachable!("plan node does not match query shape"),
+            // Count, scan, the serial fused histogram and the build-left
+            // join are exactly `exec`'s operators: conjunct order changes
+            // neither the selection mask nor any counter, so the planned
+            // order is recorded in EXPLAIN and the source filter runs.
+            _ => {
+                let (result, footprint) = exec::run_query(db, &self.query)?;
+                Ok(PlannedExecution { result, footprint })
+            }
         }
     }
 
@@ -548,104 +548,19 @@ fn plan_predicate(filter: &Predicate, stats: &TableStats) -> PlannedPredicate {
 // Planned physical execution
 // ---------------------------------------------------------------------------
 
-fn run_planned_count(
-    table: &Table,
-    original: &Predicate,
-    pred: &PlannedPredicate,
-) -> EngineResult<PlannedExecution> {
-    // Validate the *original* predicate first so error identity (which
-    // unknown column is reported) matches the unplanned executor.
-    original.validate(table)?;
-    let opts = KernelOptions::default();
-    let mut stats = KernelStats::default();
-    let selected = kernels::select_vector_with(table, &pred.predicate, &opts, &mut stats)?;
-    let footprint = QueryFootprint {
-        rows_scanned: table.rows() as u64,
-        rows_matched: selected.count() as u64,
-        rows_aggregated: selected.count() as u64,
-        groups: 1,
-        rows_output: 1,
-        predicate_evals: table.rows() as u64 * original.condition_count() as u64,
-        blocks_pruned: stats.blocks_pruned,
-        blocks_scanned: stats.blocks_scanned,
-        ..QueryFootprint::default()
-    };
-    Ok(PlannedExecution {
-        result: ResultSet::Count(selected.count() as u64),
-        footprint,
-    })
-}
-
-fn run_planned_select(
-    table: &Table,
-    spec: &crate::query::SelectSpec,
-    pred: &PlannedPredicate,
-) -> EngineResult<PlannedExecution> {
-    spec.filter.validate(table)?;
-    let mut footprint = QueryFootprint::default();
-    let selected: Vec<usize> = match &spec.filter {
-        Predicate::True => {
-            let end = match spec.limit {
-                Some(l) => (spec.offset + l).min(table.rows()),
-                None => table.rows(),
-            };
-            footprint.rows_scanned = end as u64;
-            footprint.rows_matched = end as u64;
-            (spec.offset.min(end)..end).collect()
-        }
-        original => {
-            let opts = KernelOptions::default();
-            let mut stats = KernelStats::default();
-            let sel = kernels::select_vector_with(table, &pred.predicate, &opts, &mut stats)?;
-            footprint.rows_scanned = table.rows() as u64;
-            footprint.rows_matched = sel.count() as u64;
-            footprint.predicate_evals = footprint.rows_scanned * original.condition_count() as u64;
-            footprint.blocks_pruned = stats.blocks_pruned;
-            footprint.blocks_scanned = stats.blocks_scanned;
-            let take = match spec.limit {
-                Some(l) => l.min(sel.count().saturating_sub(spec.offset)),
-                None => sel.count().saturating_sub(spec.offset),
-            };
-            sel.iter().skip(spec.offset).take(take).collect()
-        }
-    };
-    let rows = exec::project_rows(table, &selected, &spec.projection)?;
-    footprint.rows_output = rows.len() as u64;
-    Ok(PlannedExecution {
-        result: ResultSet::Rows(rows),
-        footprint,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The histogram paths `exec` has no operator for: the chunked parallel
+/// bin phase and row-at-a-time binning off the selection mask.
 fn run_planned_histogram(
     table: &Table,
     bins: &BinSpec,
     original: &Predicate,
     pred: &PlannedPredicate,
     path: HistogramPath,
-    parallel: bool,
     threads: usize,
 ) -> EngineResult<PlannedExecution> {
-    // Validation in run_histogram's order, for error identity.
-    if bins.bins == 0 {
-        return Err(EngineError::InvalidBinSpec("zero bins".into()));
-    }
-    if bins.width() <= 0.0 || bins.width().is_nan() {
-        return Err(EngineError::InvalidBinSpec(format!(
-            "non-positive width over [{}, {}]",
-            bins.min, bins.max
-        )));
-    }
-    original.validate(table)?;
-    let bin_idx = table.column_index(&bins.column)?;
+    // Validate the source filter in exec's order, for error identity.
+    let bin_idx = exec::histogram_bin_column(table, bins, original)?;
     let col = table.column_at(bin_idx);
-    if !col.data_type().is_numeric() {
-        return Err(EngineError::TypeMismatch {
-            column: bins.column.to_string(),
-            expected: "numeric column for binning",
-        });
-    }
 
     let opts = KernelOptions::default();
     let mut stats = KernelStats::default();
@@ -653,16 +568,13 @@ fn run_planned_histogram(
     let zone = table.zone_map_at(bin_idx);
 
     let hist = match path {
-        HistogramPath::Fused if parallel && threads > 1 => {
+        HistogramPath::Fused => {
             // Chunked parallel bin phase; bin-phase block counters come
             // from the serial accounting pass below so the footprint is
             // identical at every thread count.
             let h = parallel_bin_phase(col, zone, &selected, bins, table.rows(), threads)?;
             bin_phase_stats(table.rows(), zone, &selected, bins, &mut stats);
             h
-        }
-        HistogramPath::Fused => {
-            kernels::fused_filter_bin(col, zone, &selected, bins, &opts, &mut stats)
         }
         HistogramPath::Unfused => {
             // Row-at-a-time off the mask: exactly the loop the fused
@@ -729,9 +641,10 @@ fn bin_phase_stats(
     }
 }
 
-/// Bins fixed-size chunks concurrently (same chunking as
-/// [`crate::parallel::parallel_histogram`]) over an already-computed
-/// selection, merging partials in chunk order.
+/// Bins fixed-size chunks of [`PAR_CHUNK_ROWS`] rows concurrently over
+/// an already-computed selection, merging partials in chunk order.
+/// Chunking is by row count, never by thread count, so every thread
+/// count produces the same histogram.
 fn parallel_bin_phase(
     col: &crate::column::Column,
     zone: Option<&ZoneMap>,

@@ -541,6 +541,12 @@ impl SchedulerTelemetry {
         self.latency_us.record(timing.latency().as_micros());
         self.queue_depth.set(busy_workers as i64);
 
+        // Tracks are interned when the replay starts, so a replay that
+        // began with the recorder off records nothing even if recording
+        // is switched on midway.
+        let Some(&track) = self.worker_tracks.get(slot) else {
+            return;
+        };
         let rec = ids_obs::recorder();
         if !rec.is_enabled() {
             return;
@@ -549,7 +555,7 @@ impl SchedulerTelemetry {
         rec.record_span(
             "exec",
             kind,
-            self.worker_tracks[slot],
+            track,
             timing.started_at,
             timing.execution(),
             vec![

@@ -58,14 +58,14 @@ pub fn reset_all() {
     metrics().clear();
 }
 
-/// Records the current virtual time so deeper layers can timestamp
-/// events; the replay scheduler calls this as it advances.
+/// Records the calling thread's current virtual time so deeper layers
+/// can timestamp events; the replay scheduler calls this as it advances.
 #[inline]
 pub fn set_vnow(t: ids_simclock::SimTime) {
     recorder().set_vnow(t);
 }
 
-/// The most recently published virtual time.
+/// The virtual time most recently published on the calling thread.
 #[inline]
 pub fn vnow() -> ids_simclock::SimTime {
     recorder().vnow()

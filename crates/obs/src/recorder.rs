@@ -10,7 +10,8 @@
 //! feed the end-of-run phase summary table and are deliberately **not**
 //! part of the exported trace, keeping exports deterministic.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use ids_simclock::{SimDuration, SimTime};
@@ -122,16 +123,22 @@ struct RecorderInner {
 /// The global trace recorder. Obtain it with [`recorder()`].
 pub struct Recorder {
     enabled: AtomicBool,
-    /// Current virtual time, published by whoever drives the simulation
-    /// (the scheduler) so deeper layers (buffer pool) can timestamp
-    /// events without threading a clock through every call.
-    vnow: AtomicU64,
     inner: Mutex<RecorderInner>,
+}
+
+thread_local! {
+    /// Current virtual time, published by whoever drives the simulation
+    /// (the scheduler) so deeper layers (buffer pool, fault injection)
+    /// can read it without threading a clock through every call.
+    ///
+    /// Per thread: a simulation publishes and reads its clock on the
+    /// thread that drives it, so simulations running concurrently on
+    /// other threads can neither see nor move it.
+    static VNOW: Cell<u64> = const { Cell::new(0) };
 }
 
 static RECORDER: Recorder = Recorder {
     enabled: AtomicBool::new(false),
-    vnow: AtomicU64::new(0),
     inner: Mutex::new(RecorderInner {
         events: Vec::new(),
         tracks: Vec::new(),
@@ -163,17 +170,18 @@ impl Recorder {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Drops all captured events, tracks, and phases.
+    /// Drops all captured events, tracks, and phases, and resets the
+    /// calling thread's virtual time to zero.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.events.clear();
         inner.tracks.clear();
         inner.phases.clear();
-        self.vnow.store(0, Ordering::Relaxed);
+        VNOW.with(|v| v.set(0));
     }
 
-    /// Publishes the current virtual time (the scheduler calls this as
-    /// it advances through a replay).
+    /// Publishes the calling thread's current virtual time (the scheduler
+    /// calls this as it advances through a replay).
     ///
     /// Always tracked, even while the recorder is disabled: beyond
     /// timestamping trace samples, the published time is the clock bus
@@ -181,13 +189,13 @@ impl Recorder {
     /// not change with observability on or off.
     #[inline]
     pub fn set_vnow(&self, t: SimTime) {
-        self.vnow.store(t.as_micros(), Ordering::Relaxed);
+        VNOW.with(|v| v.set(t.as_micros()));
     }
 
-    /// The most recently published virtual time.
+    /// The virtual time most recently published on the calling thread.
     #[inline]
     pub fn vnow(&self) -> SimTime {
-        SimTime::from_micros(self.vnow.load(Ordering::Relaxed))
+        SimTime::from_micros(VNOW.with(Cell::get))
     }
 
     /// Interns a track by name, returning a stable id. Repeated calls

@@ -3,19 +3,38 @@
 //!
 //! Replication here is an *availability* property, not extra bytes:
 //! every replica of a shard shares one partition image (this is a
-//! simulator), striped across nodes exactly as the engine's
-//! [`replica_node`] layout describes — nodes `0..shards` hold copy 0,
+//! simulator), striped across nodes: nodes `0..shards` hold copy 0,
 //! `shards..2*shards` copy 1, and so on. A query stays **exact** under
 //! any node-loss pattern that leaves each shard one survivor; when
 //! every replica of a shard is lost the plan fails with the typed
 //! [`EngineError::ShardUnavailable`](ids_engine::EngineError) instead
 //! of extrapolating an estimate from the survivors.
 
-use ids_engine::distributed::{replica_node, surviving_replica, ClusterParams};
 use ids_engine::{CostParams, Database, EngineError, EngineResult, Query};
 
 use crate::partition::{partition_database, PartitionScheme};
-use crate::plan::{ScatterGather, ShardOutcome};
+use crate::plan::{ClusterParams, ScatterGather, ShardOutcome};
+
+/// The node hosting replica `replica` of shard `shard` in the canonical
+/// striped layout: nodes `0..shards` hold copy 0, `shards..2*shards`
+/// copy 1, and so on.
+fn replica_node(shard: usize, shards: usize, replica: usize) -> usize {
+    replica * shards + shard
+}
+
+/// The lowest-numbered surviving node hosting `shard`, or `None` when
+/// every replica is in `lost`. Deterministic: the same loss set always
+/// routes to the same replica.
+fn surviving_replica(
+    shard: usize,
+    shards: usize,
+    replicas: usize,
+    lost: &[usize],
+) -> Option<usize> {
+    (0..replicas)
+        .map(|r| replica_node(shard, shards, r))
+        .find(|node| !lost.contains(node))
+}
 
 /// A sharded, replicated fleet database.
 #[derive(Debug)]
@@ -149,6 +168,18 @@ mod tests {
                 .unwrap(),
         );
         db
+    }
+
+    #[test]
+    fn replica_layout_is_striped() {
+        assert_eq!(replica_node(2, 4, 0), 2);
+        assert_eq!(replica_node(2, 4, 1), 6);
+        // Node 2 lost: shard 2 routes to its copy on node 6.
+        assert_eq!(surviving_replica(2, 4, 2, &[2]), Some(6));
+        // Both copies lost: unavailable.
+        assert_eq!(surviving_replica(2, 4, 2, &[2, 6]), None);
+        // Unreplicated: the shard is its only copy.
+        assert_eq!(surviving_replica(2, 4, 1, &[2]), None);
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! The paper's scalability guideline (§3.2) says an interactive backend
 //! must hold its latency distribution as sessions and rows grow — and
 //! the only lever past a single node is horizontal partitioning. This
-//! crate is that lever, built on the engine's canonical shard-plan
-//! primitives (`ids_engine::distributed`) so a row lands on the same
-//! shard no matter which layer asked:
+//! crate is that lever, and the only place the stack decides which
+//! shard a row lands on, how partials merge, how replicas route and
+//! what coordination costs:
 //!
 //! - [`partition`] — deterministic hash-rows / hash-key / range
 //!   partitioning of columnar tables, each shard with its own rebuilt
 //!   stats and zone maps ([`PartitionScheme`], [`partition_database`]).
 //! - [`plan`] — the scatter-gather executor ([`ScatterGather`]): fused
 //!   kernels run per shard on a bounded worker pool, partials merge in
-//!   fixed shard order, per-shard obs spans feed the telemetry
-//!   lakehouse ("p99 by shard").
+//!   fixed shard order, coordination is priced by [`ClusterParams`],
+//!   per-shard obs spans feed the telemetry lakehouse ("p99 by
+//!   shard").
 //! - [`cluster`] — replicated routing ([`ShardedCluster`]): exact
 //!   answers while every shard keeps one surviving replica, typed
 //!   `ShardUnavailable` when one does not.
@@ -37,5 +38,5 @@ pub mod progressive;
 
 pub use cluster::ShardedCluster;
 pub use partition::{partition_database, partition_table, shard_assignments, PartitionScheme};
-pub use plan::{ScatterGather, ShardExecution, ShardOutcome};
+pub use plan::{ClusterParams, ScatterGather, ShardExecution, ShardOutcome};
 pub use progressive::ShardedProgressive;

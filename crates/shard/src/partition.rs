@@ -5,10 +5,10 @@
 //! order, or dictionary encoding:
 //!
 //! - [`PartitionScheme::HashRows`] — round-robin on the row index (the
-//!   synthetic-key hash partition the engine's `Cluster` facade uses);
-//!   exactly balanced, the default when no key column is natural.
+//!   synthetic-key hash partition the scalability sweep uses); exactly
+//!   balanced, the default when no key column is natural.
 //! - [`PartitionScheme::HashKey`] — SplitMix64 over the canonical
-//!   [`cell_key`] of one column; co-locates equal keys, so per-key
+//!   `cell_key` of one column; co-locates equal keys, so per-key
 //!   aggregates shard cleanly. String keys hash their *bytes* — the
 //!   dictionary code is partition-local and never leaks into routing.
 //! - [`PartitionScheme::Range`] — equal-width ranges over the column's
@@ -23,8 +23,79 @@
 
 use std::sync::Arc;
 
-use ids_engine::distributed::{cell_key, shard_of_hash, shard_of_row, take_table};
-use ids_engine::{Column, Database, EngineError, EngineResult, Table};
+use ids_engine::{Column, ColumnBuilder, Database, EngineError, EngineResult, Table, TableBuilder};
+
+/// SplitMix64: the bit-mixing finalizer behind every shard hash (key
+/// partitioning here, per-shard sampling seeds in [`crate::progressive`]).
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// FNV-1a over raw bytes — the dependency-free string hash shard keys
+/// use (dictionary codes are partition-local, so the *string bytes* are
+/// what must hash identically on every shard).
+fn fnv1a_bytes(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The shard a pre-hashed 64-bit key lands on, after one more mixing
+/// round so weak keys (sequential integers, duplicate-heavy dimensions)
+/// still spread.
+fn shard_of_hash(seed: u64, hash: u64, shards: usize) -> usize {
+    (splitmix64(seed ^ hash) % shards as u64) as usize
+}
+
+/// Canonical 64-bit key of one cell, identical across partitions:
+///
+/// - `Int` → the value's two's-complement bits;
+/// - `Float` → the IEEE bits with `-0.0` folded into `0.0` and every
+///   NaN folded into the canonical quiet NaN (so equal-comparing floats
+///   always co-locate);
+/// - `Str` → FNV-1a of the string bytes (dictionary codes are
+///   partition-local and must not leak into the key).
+pub(crate) fn cell_key(col: &Column, row: usize) -> u64 {
+    match col {
+        Column::Int(v) => v[row] as u64,
+        Column::Float(v) => {
+            let x = v[row];
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else if x == 0.0 {
+                0.0f64.to_bits()
+            } else {
+                x.to_bits()
+            }
+        }
+        Column::Str { codes, dict } => fnv1a_bytes(dict[codes[row] as usize].as_bytes()),
+    }
+}
+
+/// Materializes the selected rows of `table` as a new table with the
+/// same name and schema. It is assembled through the normal
+/// [`TableBuilder`] path, so stats and zone maps are rebuilt per shard.
+fn take_table(table: &Table, rows: &[usize]) -> EngineResult<Table> {
+    let mut builder = TableBuilder::new(table.name());
+    for (col_idx, col_name) in table.column_names().enumerate() {
+        let col = table.column_at(col_idx).take(rows);
+        let col = match &col {
+            Column::Int(v) => ColumnBuilder::int(v.iter().copied()),
+            Column::Float(v) => ColumnBuilder::float(v.iter().copied()),
+            Column::Str { codes, dict } => {
+                ColumnBuilder::str(codes.iter().map(|&c| dict[c as usize].as_ref()))
+            }
+        };
+        builder = builder.column(col_name, col);
+    }
+    builder.build()
+}
 
 /// How a table's rows are assigned to shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +145,7 @@ pub fn shard_assignments(
     match scheme {
         PartitionScheme::HashRows => {
             for row in 0..table.rows() {
-                selections[shard_of_row(row, shards)].push(row);
+                selections[row % shards].push(row);
             }
         }
         PartitionScheme::HashKey(column) => {
@@ -153,7 +224,6 @@ pub fn partition_database(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ids_engine::{ColumnBuilder, TableBuilder};
 
     fn table(rows: usize) -> Table {
         TableBuilder::new("t")
@@ -263,6 +333,19 @@ mod tests {
                 assert_eq!(p.width(), 3);
             }
         }
+    }
+
+    #[test]
+    fn cell_keys_are_canonical() {
+        let f = ColumnBuilder::float([0.0, -0.0, f64::NAN, 1.5]).build();
+        assert_eq!(cell_key(&f, 0), cell_key(&f, 1), "-0.0 folds into 0.0");
+        assert_eq!(cell_key(&f, 2), f64::NAN.to_bits());
+        let s = ColumnBuilder::str(["a", "b", "a"]).build();
+        assert_eq!(cell_key(&s, 0), cell_key(&s, 2));
+        assert_ne!(cell_key(&s, 0), cell_key(&s, 1));
+        // The string key survives re-encoding under a different dict.
+        let s2 = ColumnBuilder::str(["b", "a"]).build();
+        assert_eq!(cell_key(&s, 0), cell_key(&s2, 1));
     }
 
     #[test]

@@ -17,13 +17,91 @@
 //! exactly the shape the paper's scalability guideline predicts: near
 //! linear to ~8 shards, then coordination-bound.
 
-use ids_engine::distributed::{merge_partials, require_mergeable, ClusterParams};
 use ids_engine::exec::run_query;
 use ids_engine::{
-    CostModel, CostParams, Database, EngineError, EngineResult, LinearCostModel, Query,
+    CostModel, CostParams, Database, EngineError, EngineResult, Histogram, LinearCostModel, Query,
     QueryFootprint, ResultSet,
 };
 use ids_simclock::SimDuration;
+
+/// Cost knobs specific to the coordination layer of a scatter-gather
+/// plan.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClusterParams {
+    /// Per-query coordination overhead per participating node, ns
+    /// (scheduling, result collection).
+    pub per_node_overhead_ns: u64,
+    /// Merging one partial group/row from one node, ns.
+    pub merge_per_group_ns: u64,
+    /// Fixed coordinator startup, ns.
+    pub coordinator_ns: u64,
+}
+
+impl ClusterParams {
+    /// A calibration that yields near-linear speedup to ~8 nodes and
+    /// diminishing returns beyond — the DICE shape.
+    pub const fn default_cluster() -> ClusterParams {
+        ClusterParams {
+            per_node_overhead_ns: 500_000, // 0.5 ms per node per query
+            merge_per_group_ns: 10_000,    // 10 µs per partial group
+            coordinator_ns: 1_000_000,     // 1 ms
+        }
+    }
+
+    /// Coordination cost of gathering `nodes` partials totalling
+    /// `merge_groups` groups: the part of a scatter-gather plan that
+    /// does *not* get faster with more shards.
+    pub fn coordination(&self, nodes: usize, merge_groups: u64) -> SimDuration {
+        SimDuration::from_micros(
+            (self.coordinator_ns
+                + self.per_node_overhead_ns * nodes as u64
+                + self.merge_per_group_ns * merge_groups)
+                / 1_000,
+        )
+    }
+}
+
+/// Rejects query shapes a row partition cannot distribute. COUNT sums
+/// and histograms sum bin-wise; paginated selects and joins would need
+/// a shuffle, which this layer intentionally does not model.
+pub(crate) fn require_mergeable(query: &Query) -> EngineResult<()> {
+    if matches!(query, Query::Count { .. } | Query::Histogram { .. }) {
+        Ok(())
+    } else {
+        Err(EngineError::TypeMismatch {
+            column: query.table().to_string(),
+            expected: "a mergeable query (COUNT or histogram) for distributed execution",
+        })
+    }
+}
+
+/// Merges two mergeable partial results: COUNT sums, histograms sum
+/// bin-wise. Partials are merged in *fixed shard order* — `u64` sums
+/// commute, but one canonical order is what lets every caller assert
+/// byte-identical output instead of arguing about it.
+pub(crate) fn merge_partials(a: ResultSet, b: ResultSet) -> EngineResult<ResultSet> {
+    match (a, b) {
+        (ResultSet::Count(x), ResultSet::Count(y)) => Ok(ResultSet::Count(x + y)),
+        (ResultSet::Histogram(x), ResultSet::Histogram(y)) => {
+            if x.bins() != y.bins() {
+                return Err(EngineError::InvalidBinSpec(
+                    "partition histograms disagree on bin count".into(),
+                ));
+            }
+            let counts = x
+                .counts()
+                .iter()
+                .zip(y.counts())
+                .map(|(&p, &q)| p + q)
+                .collect();
+            Ok(ResultSet::Histogram(Histogram::from_counts(counts)))
+        }
+        _ => Err(EngineError::TypeMismatch {
+            column: "<merge>".into(),
+            expected: "matching partial result shapes",
+        }),
+    }
+}
 
 /// One shard-local execution: a partial result plus its footprint.
 type ShardPartial = EngineResult<(ResultSet, QueryFootprint)>;
@@ -390,6 +468,40 @@ mod tests {
             sg.execute(&select),
             Err(EngineError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn merge_partials_rejects_mismatched_shapes() {
+        let hist = |bins: usize| ResultSet::Histogram(Histogram::from_counts(vec![1; bins]));
+        let merged = merge_partials(hist(3), hist(3)).unwrap();
+        assert_eq!(merged.histogram().unwrap().counts(), &[2, 2, 2]);
+        assert!(matches!(
+            merge_partials(hist(3), hist(4)),
+            Err(EngineError::InvalidBinSpec(_))
+        ));
+        assert!(matches!(
+            merge_partials(ResultSet::Count(1), hist(3)),
+            Err(EngineError::TypeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn string_predicates_survive_partitioning() {
+        let source = Database::new();
+        source.register(
+            TableBuilder::new("pts")
+                .column(
+                    "label",
+                    ColumnBuilder::str((0..1_000).map(|i| if i % 2 == 0 { "even" } else { "odd" })),
+                )
+                .build()
+                .unwrap(),
+        );
+        let parts = partition_database(&source, &PartitionScheme::HashRows, 0, 3).unwrap();
+        let out = ScatterGather::over(parts)
+            .execute(&Query::count("pts", Predicate::eq("label", "even")))
+            .unwrap();
+        assert_eq!(out.result.scalar_count(), Some(500));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sequences are then merged **stepwise** in fixed shard order:
 //!
 //! - estimates merge like any partial aggregate
-//!   ([`merge_partials`]): COUNT sums, histograms sum bin-wise;
+//!   (`merge_partials`): COUNT sums, histograms sum bin-wise;
 //! - deterministic error bounds **sum** — each shard's estimate is off
 //!   by at most its own bound, so the merged estimate is off by at most
 //!   the total;
@@ -24,7 +24,8 @@
 //! — refinement, which keeps every merged step sound. The final merged
 //! step is byte-identical to the exact scatter-gather answer.
 
-use ids_engine::distributed::{merge_partials, splitmix64, ClusterParams};
+use crate::partition::splitmix64;
+use crate::plan::{merge_partials, ClusterParams};
 use ids_engine::progressive::{ConfidenceInterval, ProgressiveExecutor, Refinement};
 use ids_engine::{Database, EngineResult, Query};
 use ids_simclock::SimDuration;

@@ -14,9 +14,10 @@ use ids::lakehouse::{Lakehouse, TimeWindow};
 use ids::obs;
 use ids::shard::{partition_database, PartitionScheme, ScatterGather, ShardedCluster};
 
-/// The obs recorder is process-global; the telemetry test takes this
-/// lock and starts from `reset_all()` so parallel tests cannot
-/// interleave spans into its capture.
+/// The obs recorder is process-global and a scatter-gather records
+/// `shard` spans while it is on; every test here that runs one takes
+/// this lock, and the telemetry test starts from `reset_all()`, so
+/// parallel tests cannot interleave spans into its capture.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -69,6 +70,7 @@ fn mergeable_queries() -> Vec<Query> {
 
 #[test]
 fn every_scheme_matches_single_node_execution() {
+    let _guard = lock();
     let db = dataset(2_000);
     for scheme in schemes() {
         for shards in [1usize, 3, 8] {
@@ -89,6 +91,7 @@ fn every_scheme_matches_single_node_execution() {
 
 #[test]
 fn outcome_is_invariant_across_worker_threads() {
+    let _guard = lock();
     let db = dataset(3_000);
     let query = &mergeable_queries()[1];
     let parts = partition_database(&db, &PartitionScheme::range("t"), 11, 8).expect("partition");
@@ -119,6 +122,7 @@ fn outcome_is_invariant_across_worker_threads() {
 
 #[test]
 fn losing_every_replica_is_a_typed_error_not_an_estimate() {
+    let _guard = lock();
     let db = dataset(1_000);
     let cluster = ShardedCluster::partition(&db, PartitionScheme::hash_key("k"), 11, 4)
         .expect("cluster")
